@@ -24,8 +24,8 @@ DatasetParams Base() {
   return p;
 }
 
-RunnerConfig Config() {
-  RunnerConfig c;
+SolverOptions Config() {
+  SolverOptions c;
   c.avg_repeats = 5;
   c.ip.mip.max_nodes = 200000;
   c.ip.mip.time_limit_seconds = 20.0;
@@ -70,9 +70,12 @@ void BM_IpExactSmall(benchmark::State& state) {
   DatasetParams p = Base();
   p.num_users = static_cast<int>(state.range(0));
   auto inst = GenerateDataset(p);
-  RunnerConfig config = Config();
+  const SolverOptions config = Config();
+  SolverContext context;
+  context.options = &config;
+  const Solver* ip = *SolverRegistry::Global().Find("IP");
   for (auto _ : state) {
-    auto run = RunAlgorithm(*inst, Algo::kIp, config);
+    auto run = ip->Solve(*inst, context);
     benchmark::DoNotOptimize(run);
   }
 }
@@ -82,9 +85,12 @@ void BM_AvgDSmall(benchmark::State& state) {
   DatasetParams p = Base();
   p.num_users = static_cast<int>(state.range(0));
   auto inst = GenerateDataset(p);
-  RunnerConfig config = Config();
+  const SolverOptions config = Config();
+  SolverContext context;
+  context.options = &config;
+  const Solver* avg_d = *SolverRegistry::Global().Find("AVG-D");
   for (auto _ : state) {
-    auto run = RunAlgorithm(*inst, Algo::kAvgD, config);
+    auto run = avg_d->Solve(*inst, context);
     benchmark::DoNotOptimize(run);
   }
 }

@@ -24,7 +24,7 @@ void PrintTables() {
     params.num_slots = 3;
     params.lambda = lambda;
     params.seed = 99;
-    RunnerConfig config;
+    SolverOptions config;
     config.avg_repeats = 5;
     config.ip.mip.time_limit_seconds = 20.0;
     Timer point_timer;

@@ -10,8 +10,8 @@
 namespace savg {
 namespace {
 
-RunnerConfig LargeConfig() {
-  RunnerConfig c;
+SolverOptions LargeConfig() {
+  SolverOptions c;
   c.relaxation.method = RelaxationMethod::kSubgradient;
   c.avg_repeats = 3;
   c.sdp.diversity_weight = 0.0;  // O(m k^2 n) similarity pass is hopeless

@@ -12,7 +12,7 @@ namespace savg {
 namespace {
 
 void PrintTables() {
-  RunnerConfig config;
+  SolverOptions config;
   config.relaxation.method = RelaxationMethod::kSubgradient;
   config.avg_repeats = 3;
   config.sdp.diversity_weight = 0.0;

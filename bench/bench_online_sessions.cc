@@ -89,7 +89,7 @@ double MeanDrift(const ReplayStats& stats, const ReplayStats& reference) {
 /// into the from-scratch reference. The two re-round policies
 /// (fixed-period and drift-threshold) are both exposed so the drift table
 /// can compare them on the identical stream.
-ReplayStats Replay(const SvgicInstance& base, const EventLog& log,
+ReplayStats Replay(const SvgicInstance& base, const CommandLog& log,
                    bool force_cold, int full_reround_period = 0,
                    double reround_utility_threshold = 0.0) {
   SessionOptions options;
@@ -154,7 +154,7 @@ void PrintTables() {
     std::cerr << inst.status() << "\n";
     return;
   }
-  const EventLog log = GenerateEventStream(*inst, ServingStream(5));
+  const CommandLog log = GenerateEventStream(*inst, ServingStream(5));
 
   Timer incr_timer;
   const ReplayStats incr = Replay(*inst, log, /*force_cold=*/false);
@@ -239,7 +239,7 @@ void PrintTables() {
   Timer manager_timer;
   SessionManager manager(benchutil::WorkerOverride());
   std::vector<int> ids;
-  std::vector<EventLog> logs;
+  std::vector<CommandLog> logs;
   for (int i = 0; i < kSessions; ++i) {
     auto session_inst = GenerateDataset(ServingParams(40 + i));
     if (!session_inst.ok()) continue;
@@ -251,7 +251,7 @@ void PrintTables() {
   }
   int64_t submitted = 0;
   for (size_t i = 0; i < ids.size(); ++i) {
-    for (const SessionEvent& event : logs[i]) {
+    for (const SessionCommand& event : logs[i]) {
       if (manager.Submit(ids[i], event).ok()) ++submitted;
     }
   }

@@ -42,8 +42,8 @@ DatasetParams ScaleParams(int n, int m, int k, uint64_t seed) {
   return params;
 }
 
-RunnerConfig ShardConfig() {
-  RunnerConfig config;
+SolverOptions ShardConfig() {
+  SolverOptions config;
   benchutil::ApplyShardOverrides(&config.shard);
   return config;
 }
@@ -52,7 +52,7 @@ RunnerConfig ShardConfig() {
 /// or {-1, -1} on failure.
 std::pair<double, double> RunOne(const SvgicInstance& instance,
                                  const std::string& name,
-                                 const RunnerConfig& config) {
+                                 const SolverOptions& config) {
   auto solver = SolverRegistry::Global().Find(name);
   if (!solver.ok()) return {-1.0, -1.0};
   SolverContext context;
@@ -97,7 +97,7 @@ void PrintPlanQuality() {
 }
 
 void PrintScaleSweep() {
-  const RunnerConfig config = ShardConfig();
+  const SolverOptions config = ShardConfig();
   Table t({"n x m", "AVG", "AVG-SHARD", "AVG (s)", "AVG-SHARD (s)",
            "obj ratio"});
   struct Point {
@@ -153,52 +153,6 @@ void PrintScaleSweep() {
   t.Print("Batch scale: AVG-SHARD vs monolithic AVG (Yelp, lambda=0.5)");
 }
 
-/// Polyak vs fixed-diminishing dual steps: identical instance and plan,
-/// only the step schedule differs. Rounds-to-gap (and the reached gap)
-/// land in the JSON artifact — the ROADMAP PR 4 follow-up asked for this
-/// measured before/after.
-void PrintDualSchedule() {
-  auto inst = GenerateDataset(ScaleParams(120, 400, 5, 31));
-  if (!inst.ok()) {
-    std::cerr << inst.status() << "\n";
-    return;
-  }
-  Table t({"schedule", "dual rounds", "gap", "dual bound", "primal",
-           "LP (s)"});
-  for (const bool polyak : {true, false}) {
-    ShardSolveOptions options;
-    benchutil::ApplyShardOverrides(&options);
-    options.polyak_dual_steps = polyak;
-    options.max_dual_rounds = 24;
-    // This instance's intrinsic Lagrangian gap is ~4.5% (the bound cannot
-    // meet the stitched primal no matter the duals), so rounds-to-gap is
-    // measured against a reachable 7.5%: Polyak reaches it in ~2 rounds,
-    // the fixed schedule needs ~6.
-    options.gap_tolerance = 0.075;
-    auto result = SolveSharded(*inst, options);
-    if (!result.ok()) {
-      std::cerr << "sharded solve failed: " << result.status() << "\n";
-      continue;
-    }
-    const ShardSolveStats& stats = result->stats;
-    const std::string name = polyak ? "polyak" : "fixed 1/sqrt(round)";
-    t.NewRow()
-        .Add(name)
-        .Add(static_cast<int64_t>(stats.dual_rounds))
-        .Add(FormatPercent(stats.gap))
-        .Add(stats.dual_bound, 1)
-        .Add(stats.primal_objective, 1)
-        .Add(FormatDouble(stats.lp_seconds, 3));
-    benchutil::RecordMetric(
-        "shard scale | dual rounds to gap (" + name + ")",
-        static_cast<double>(stats.dual_rounds));
-    benchutil::RecordMetric("shard scale | dual gap reached (" + name + ")",
-                            stats.gap);
-  }
-  t.Print("Dual coordination: Polyak vs fixed step schedule "
-          "(n=120, m=400, gap tol 7.5%)");
-}
-
 struct OnlineReplay {
   int64_t pivots = 0;
   int resolves = 0;
@@ -207,7 +161,7 @@ struct OnlineReplay {
   double final_total = 0.0;
 };
 
-OnlineReplay ReplayOnline(const SvgicInstance& base, const EventLog& log,
+OnlineReplay ReplayOnline(const SvgicInstance& base, const CommandLog& log,
                           bool sharded) {
   SessionOptions options;
   options.seed = 7;
@@ -254,7 +208,7 @@ void PrintOnlineSharded() {
   stream.num_mutations = 120;
   stream.resolve_every = 4;
   stream.seed = 5;
-  const EventLog log = GenerateEventStream(*inst, stream);
+  const CommandLog log = GenerateEventStream(*inst, stream);
 
   const OnlineReplay sharded = ReplayOnline(*inst, log, /*sharded=*/true);
   const OnlineReplay mono = ReplayOnline(*inst, log, /*sharded=*/false);
@@ -298,14 +252,13 @@ void PrintOnlineSharded() {
 void PrintTables() {
   PrintPlanQuality();
   PrintScaleSweep();
-  PrintDualSchedule();
   PrintOnlineSharded();
 }
 
 void BM_ShardedSolve(benchmark::State& state) {
   auto inst = GenerateDataset(
       ScaleParams(static_cast<int>(state.range(0)), 400, 5, 8));
-  const RunnerConfig config = ShardConfig();
+  const SolverOptions config = ShardConfig();
   auto solver = SolverRegistry::Global().Find("AVG-SHARD");
   SolverContext context;
   context.options = &config;
@@ -320,7 +273,7 @@ BENCHMARK(BM_ShardedSolve)->Arg(80)->Arg(160)->Unit(benchmark::kMillisecond);
 void BM_MonolithicSolve(benchmark::State& state) {
   auto inst = GenerateDataset(
       ScaleParams(static_cast<int>(state.range(0)), 400, 5, 8));
-  const RunnerConfig config = ShardConfig();
+  const SolverOptions config = ShardConfig();
   auto solver = SolverRegistry::Global().Find("AVG");
   SolverContext context;
   context.options = &config;

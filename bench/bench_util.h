@@ -210,7 +210,7 @@ inline std::vector<std::string> AlgosOrDefault(bool include_ip) {
 inline std::vector<std::vector<AggregateRow>> PrintSweep(
     const std::string& title, const std::string& x_name,
     const std::vector<SweepPoint>& points, int samples,
-    const std::vector<std::string>& algos, const RunnerConfig& config) {
+    const std::vector<std::string>& algos, const SolverOptions& config) {
   std::vector<std::string> header = {x_name};
   for (const std::string& algo : algos) header.push_back(algo);
   Table utility(header);
@@ -242,37 +242,41 @@ inline std::vector<std::vector<AggregateRow>> PrintSweep(
   }
   utility.Print(title + " — total SAVG utility");
   seconds.Print(title + " — execution time (s)");
-  // Per-phase simplex time across the whole sweep: the data the ROADMAP's
-  // partial-pricing question is decided from (pricing-heavy profiles
-  // justify candidate lists; ftran/btran-heavy ones do not).
-  RecordMetric(title + " | lp_pricing_seconds",
-               warm.lp_stats.pricing_seconds);
-  RecordMetric(title + " | lp_ratio_test_seconds",
-               warm.lp_stats.ratio_test_seconds);
-  RecordMetric(title + " | lp_ftran_seconds", warm.lp_stats.ftran_seconds);
-  RecordMetric(title + " | lp_btran_seconds", warm.lp_stats.btran_seconds);
-  RecordMetric(title + " | lp_factor_seconds", warm.lp_stats.factor_seconds);
-  // Pivot-mix / candidate-list counters (PR 5): how much of the pricing
-  // ran off the candidate list, and whether warm starts repaired dually.
-  RecordMetric(title + " | lp_candidate_hits",
-               static_cast<double>(warm.lp_stats.candidate_hits));
-  RecordMetric(title + " | lp_full_pricing_scans",
-               static_cast<double>(warm.lp_stats.full_pricing_scans));
-  RecordMetric(title + " | lp_dual_pivots",
-               static_cast<double>(warm.lp_stats.dual_pivots));
-  // Engine-speed counters (PR 6): presolve reductions, eta-file state and
-  // refactorization cadence — the observables of the adaptive
-  // refactorization policy and the presolve pipeline.
-  RecordMetric(title + " | lp_presolve_seconds",
-               warm.lp_stats.presolve_seconds);
-  RecordMetric(title + " | lp_presolve_cols_removed",
-               static_cast<double>(warm.lp_stats.presolve_cols_removed));
-  RecordMetric(title + " | lp_eta_count",
-               static_cast<double>(warm.lp_stats.eta_count));
-  RecordMetric(title + " | lp_eta_nonzeros",
-               static_cast<double>(warm.lp_stats.eta_nonzeros));
-  RecordMetric(title + " | lp_refactorizations",
-               static_cast<double>(warm.lp_stats.refactorizations));
+  // The LP counters below are recorded only when the sweep ran the
+  // simplex: a subgradient relaxation leaves every one of them at zero.
+  if (warm.total_simplex_iterations > 0) {
+    // Per-phase simplex time across the whole sweep: the data the ROADMAP's
+    // partial-pricing question is decided from (pricing-heavy profiles
+    // justify candidate lists; ftran/btran-heavy ones do not).
+    RecordMetric(title + " | lp_pricing_seconds",
+                 warm.lp_stats.pricing_seconds);
+    RecordMetric(title + " | lp_ratio_test_seconds",
+                 warm.lp_stats.ratio_test_seconds);
+    RecordMetric(title + " | lp_ftran_seconds", warm.lp_stats.ftran_seconds);
+    RecordMetric(title + " | lp_btran_seconds", warm.lp_stats.btran_seconds);
+    RecordMetric(title + " | lp_factor_seconds", warm.lp_stats.factor_seconds);
+    // Pivot-mix / candidate-list counters: how much of the pricing
+    // ran off the candidate list, and whether warm starts repaired dually.
+    RecordMetric(title + " | lp_candidate_hits",
+                 static_cast<double>(warm.lp_stats.candidate_hits));
+    RecordMetric(title + " | lp_full_pricing_scans",
+                 static_cast<double>(warm.lp_stats.full_pricing_scans));
+    RecordMetric(title + " | lp_dual_pivots",
+                 static_cast<double>(warm.lp_stats.dual_pivots));
+    // Engine-speed counters: presolve reductions, eta-file state and
+    // refactorization cadence — the observables of the adaptive
+    // refactorization policy and the presolve pipeline.
+    RecordMetric(title + " | lp_presolve_seconds",
+                 warm.lp_stats.presolve_seconds);
+    RecordMetric(title + " | lp_presolve_cols_removed",
+                 static_cast<double>(warm.lp_stats.presolve_cols_removed));
+    RecordMetric(title + " | lp_eta_count",
+                 static_cast<double>(warm.lp_stats.eta_count));
+    RecordMetric(title + " | lp_eta_nonzeros",
+                 static_cast<double>(warm.lp_stats.eta_nonzeros));
+    RecordMetric(title + " | lp_refactorizations",
+                 static_cast<double>(warm.lp_stats.refactorizations));
+  }
   return all_rows;
 }
 

@@ -5,8 +5,6 @@
 //   svgic_cli eval <instance.tsv> <config.tsv>            score a config
 //   svgic_cli genevents <instance.tsv> <mutations> <resolve_every> <seed>
 //                       <out.cmds>                       make a command log
-//   svgic_cli convertevents <in> <out>                    legacy TSV event
-//                                                         log -> binary
 //   svgic_cli serve <instance.tsv> <commands>             replay a live
 //                                                         serving session
 //   svgic_cli trace <host> <port> [last] [--json]         fetch recent
@@ -26,9 +24,7 @@
 // subsystem (src/online/) through Session::Apply(SessionCommand): each
 // resolve command re-optimizes incrementally from the cached simplex basis
 // and prints which path ran plus the pivot counts. Command logs are the
-// binary format of serve/session_command.h; `serve` also accepts legacy
-// TSV event logs via the import shim, and `convertevents` rewrites one as
-// binary.
+// binary format of serve/session_command.h.
 //
 // Global flags (anywhere on the command line):
 //   --shards=N      shard count for the sharded paths: the AVG-SHARD
@@ -51,11 +47,11 @@
 #include "serve/client.h"
 #include "core/objective.h"
 #include "datagen/datasets.h"
-#include "experiments/runner.h"
 #include "metrics/metrics.h"
 #include "online/event_log.h"
 #include "online/session.h"
 #include "shard/shard_solve.h"
+#include "solvers/solver_options.h"
 #include "solvers/solver_registry.h"
 #include "util/logging.h"
 #include "util/table.h"
@@ -122,7 +118,6 @@ int Usage() {
                "  svgic_cli eval <instance> <config>\n"
                "  svgic_cli genevents <instance> <mutations> <resolve_every>"
                " <seed> <out>\n"
-               "  svgic_cli convertevents <in_events> <out_commands>\n"
                "  svgic_cli serve <instance> <commands>\n"
                "  svgic_cli trace <host> <port> [last] [--json]\n"
                "  svgic_cli top <host> <port> [--iters=N] [--interval-ms=M]\n"
@@ -190,39 +185,33 @@ int Run(int argc, char** argv) {
     return 1;
   }
   const std::string algo = argv[2];
-  RunnerConfig config;
-  ApplyShardFlags(&config.shard);
-  Configuration result;
+  const bool local = algo == "local";
   Timer timer;
-  if (algo == "local") {
-    auto base = RunAlgorithm(*inst, Algo::kAvgD, config);
-    if (!base.ok()) {
-      std::cerr << base.status() << "\n";
-      return 1;
-    }
-    auto polished = ImproveByLocalSearch(*inst, base->config);
+  auto solver = SolverRegistry::Global().Find(local ? "AVG-D" : algo);
+  if (!solver.ok()) {
+    std::cerr << solver.status() << "\n";
+    return Usage();
+  }
+  SolverOptions config;
+  ApplyShardFlags(&config.shard);
+  if ((*solver)->Name() == "IP") {
+    config.ip.mip.time_limit_seconds = 60.0;
+  }
+  SolverContext context;
+  context.options = &config;
+  auto run = (*solver)->Solve(*inst, context);
+  if (!run.ok()) {
+    std::cerr << run.status() << "\n";
+    return 1;
+  }
+  Configuration result = std::move(run->config);
+  if (local) {
+    auto polished = ImproveByLocalSearch(*inst, result);
     if (!polished.ok()) {
       std::cerr << polished.status() << "\n";
       return 1;
     }
     result = std::move(polished->config);
-  } else {
-    auto solver = SolverRegistry::Global().Find(algo);
-    if (!solver.ok()) {
-      std::cerr << solver.status() << "\n";
-      return Usage();
-    }
-    if ((*solver)->Name() == "IP") {
-      config.ip.mip.time_limit_seconds = 60.0;
-    }
-    SolverContext context;
-    context.options = &config;
-    auto run = (*solver)->Solve(*inst, context);
-    if (!run.ok()) {
-      std::cerr << run.status() << "\n";
-      return 1;
-    }
-    result = std::move(run->config);
   }
   const double seconds = timer.ElapsedSeconds();
   PrintReport(*inst, result, seconds);
@@ -275,25 +264,6 @@ int GenerateEvents(int argc, char** argv) {
     return 1;
   }
   std::cout << "wrote " << log.size() << " commands to " << argv[6] << "\n";
-  return 0;
-}
-
-int ConvertEvents(int argc, char** argv) {
-  if (argc != 4) return Usage();
-  // ReadCommandLogFromFile sniffs the magic, so this also re-canonicalizes
-  // a binary log; the common use is TSV -> binary migration.
-  auto log = ReadCommandLogFromFile(argv[2]);
-  if (!log.ok()) {
-    std::cerr << log.status() << "\n";
-    return 1;
-  }
-  Status st = WriteCommandLogToFile(*log, argv[3]);
-  if (!st.ok()) {
-    std::cerr << st << "\n";
-    return 1;
-  }
-  std::cout << "converted " << log->size() << " commands to binary at "
-            << argv[3] << "\n";
   return 0;
 }
 
@@ -599,9 +569,6 @@ int main(int argc, char** argv) {
   if (std::strcmp(argv[1], "run") == 0) return Run(argc, argv);
   if (std::strcmp(argv[1], "eval") == 0) return Eval(argc, argv);
   if (std::strcmp(argv[1], "genevents") == 0) return GenerateEvents(argc, argv);
-  if (std::strcmp(argv[1], "convertevents") == 0) {
-    return ConvertEvents(argc, argv);
-  }
   if (std::strcmp(argv[1], "serve") == 0) return Serve(argc, argv);
   if (std::strcmp(argv[1], "trace") == 0) return FetchTrace(argc, argv);
   if (std::strcmp(argv[1], "top") == 0) return Top(argc, argv);

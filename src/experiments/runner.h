@@ -1,13 +1,11 @@
 // Shared experiment harness used by every bench binary.
 //
-// This is now a thin compatibility shim over the solver registry and the
-// batch execution engine (solvers/solver_registry.h,
-// experiments/batch_runner.h): the Algo enum maps 1:1 onto registry names,
-// RunAlgorithm() resolves through the registry, and RunComparison() fans
-// its samples x algorithms matrix out through the BatchRunner (sharing one
-// LP relaxation per instance across the AVG family). New call sites should
-// address solvers by name; the enum survives for the existing figure
-// reproductions.
+// RunComparisonNamed() generates `samples` instances per sweep point and
+// fans the samples x solvers matrix out through the BatchRunner
+// (experiments/batch_runner.h), sharing one LP relaxation per instance
+// across the AVG family. Solvers are addressed by registry name
+// (solvers/solver_registry.h); a single run is
+// `SolverRegistry::Global().Find(name)->Solve(instance, context)`.
 
 #pragma once
 
@@ -22,50 +20,12 @@
 
 namespace savg {
 
-enum class Algo {
-  kAvg,
-  kAvgD,
-  kAvgLs,  ///< AVG followed by local-search polish
-  kPer,
-  kFmg,
-  kSdp,
-  kGrf,
-  kIp,
-};
-
-/// Canonical display name — identical to the registry name, so
-/// `SolverRegistry::Global().Find(AlgoName(a))` always resolves.
-const char* AlgoName(Algo algo);
-
-/// All algorithms in the paper's default comparison order.
-std::vector<Algo> AllAlgos(bool include_ip);
-
-/// Same, as registry names (usable with BatchRunner / --algos flags).
+/// The paper's comparison algorithms, as registry names in its order.
 std::vector<std::string> AllAlgoNames(bool include_ip);
-
-/// Aggregated tuning knobs; see solvers/solver_options.h.
-using RunnerConfig = SolverOptions;
-
-/// One algorithm run on one instance.
-struct AlgoRun {
-  Algo algo = Algo::kAvg;
-  Configuration config;
-  ObjectiveBreakdown breakdown;
-  double scaled_total = 0.0;
-  double seconds = 0.0;
-  bool ip_proven_optimal = false;
-};
-
-/// Runs one algorithm end-to-end (relaxation included for AVG/AVG-D).
-/// `shared_frac` (optional) reuses a relaxation solved once per instance.
-Result<AlgoRun> RunAlgorithm(const SvgicInstance& instance, Algo algo,
-                             const RunnerConfig& config,
-                             const FractionalSolution* shared_frac = nullptr);
 
 /// Aggregated comparison over `samples` generated instances (seed varies).
 struct AggregateRow {
-  Algo algo = Algo::kAvg;  ///< set when the solver has an enum value
-  std::string name;        ///< registry name (always set)
+  std::string name;  ///< registry name
   double mean_scaled_total = 0.0;
   double mean_seconds = 0.0;
   double mean_preference = 0.0;  ///< scaled preference part
@@ -94,11 +54,7 @@ struct SweepWarmStart {
 /// `warm_start` (optional) carries relaxation bases across calls.
 Result<std::vector<AggregateRow>> RunComparisonNamed(
     const DatasetParams& base_params, int samples,
-    const std::vector<std::string>& solvers, const RunnerConfig& config,
+    const std::vector<std::string>& solvers, const SolverOptions& config,
     int num_workers = 0, SweepWarmStart* warm_start = nullptr);
-
-Result<std::vector<AggregateRow>> RunComparison(
-    const DatasetParams& base_params, int samples,
-    const std::vector<Algo>& algos, const RunnerConfig& config);
 
 }  // namespace savg

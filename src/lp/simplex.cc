@@ -23,6 +23,14 @@ constexpr double kInfeasAccept = 1e-6;
 constexpr double kNoTimeLimit = 1e17;
 /// Minimum |pivot element| the dual ratio test accepts.
 constexpr double kDualPivotTol = 1e-9;
+/// RefactorPolicy::kAdaptive: refactorize once eta_nonzeros exceeds this
+/// multiple of the LU factor nonzeros (every solve then pays more for the
+/// eta file than for a fresh factorization's triangles).
+constexpr double kEtaDensityLimit = 1.0;
+/// RefactorPolicy::kAdaptive: refactorize once the eta work Ftran/Btran
+/// already spent since the last factorization exceeds this multiple of one
+/// factorization's cost (rent-or-buy amortization).
+constexpr double kEtaOpsMultiplier = 1.0;
 
 /// Internal working form:
 ///   maximize c'x  s.t.  A x = b,  l <= x <= u
@@ -339,12 +347,11 @@ class RevisedSimplex {
     if (etas >= opt_.refactor_interval) return true;
     if (opt_.refactor_policy != RefactorPolicy::kAdaptive) return false;
     if (static_cast<double>(factor_->eta_nonzeros()) >
-        opt_.eta_density_limit *
-            static_cast<double>(factor_->factor_nonzeros())) {
+        kEtaDensityLimit * static_cast<double>(factor_->factor_nonzeros())) {
       return true;
     }
     return static_cast<double>(factor_->eta_ops_since_factor()) >
-           opt_.eta_ops_multiplier * static_cast<double>(factor_->factor_ops());
+           kEtaOpsMultiplier * static_cast<double>(factor_->factor_ops());
   }
 
   void ComputeBasicValues() {

@@ -82,11 +82,11 @@ enum class DualRowPricing {
 /// factorization.
 enum class RefactorPolicy {
   /// Adaptive (default): refactorize when the eta file outgrows the
-  /// factors (eta_nonzeros > eta_density_limit * factor_nonzeros) or when
-  /// the accumulated eta work since the last factorization exceeds what a
-  /// refactorization costs (eta_ops > eta_ops_multiplier * factor_ops —
-  /// the rent-or-buy rule), with refactor_interval as a hard cap. All
-  /// triggers are deterministic work counters (lp/basis_lu.h), never
+  /// factors (eta_nonzeros > factor_nonzeros) or when the accumulated eta
+  /// work since the last factorization exceeds what a refactorization
+  /// costs (eta_ops > factor_ops — the rent-or-buy rule; both thresholds
+  /// are constants in simplex.cc), with refactor_interval as a hard cap.
+  /// All triggers are deterministic work counters (lp/basis_lu.h), never
   /// wall-clock, so solves stay bit-reproducible across machines.
   kAdaptive,
   /// Refactorize every refactor_interval updates (the PR 2-5 behavior).
@@ -119,14 +119,6 @@ struct SimplexOptions {
   int refactor_interval = 256;
   /// Refactorization trigger policy (see RefactorPolicy).
   RefactorPolicy refactor_policy = RefactorPolicy::kAdaptive;
-  /// kAdaptive: refactorize once eta_nonzeros exceeds this multiple of
-  /// the LU factor nonzeros (every solve then pays more for the eta file
-  /// than for a fresh factorization's triangles).
-  double eta_density_limit = 1.0;
-  /// kAdaptive: refactorize once the eta work Ftran/Btran already spent
-  /// since the last factorization exceeds this multiple of one
-  /// factorization's cost (rent-or-buy amortization).
-  double eta_ops_multiplier = 1.0;
   /// Switch to Bland's rule after this many non-improving iterations.
   /// Deliberately high: the compact SVGIC LPs walk degenerate plateaus
   /// thousands of pivots long that Devex crosses fine but Bland crawls

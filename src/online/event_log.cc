@@ -1,140 +1,13 @@
 #include "online/event_log.h"
 
-#include <fstream>
-#include <limits>
-#include <ostream>
-#include <sstream>
+#include <vector>
+
+#include "util/random.h"
 
 namespace savg {
 
-namespace {
-
-constexpr int kFormatVersion = 1;
-
-}  // namespace
-
-Status WriteEventLog(const EventLog& log, std::ostream* out) {
-  // max_digits10: doubles round-trip exactly, so a replayed log drives the
-  // session through bit-identical mutations.
-  const std::streamsize old_precision =
-      out->precision(std::numeric_limits<double>::max_digits10);
-  *out << "svgicevents " << kFormatVersion << "\n";
-  for (const SessionEvent& e : log) {
-    *out << CommandTypeName(e.type);
-    switch (e.type) {
-      case EventType::kPref:
-        *out << "\t" << e.u << "\t" << e.c << "\t" << e.value;
-        break;
-      case EventType::kTau:
-        *out << "\t" << e.u << "\t" << e.v << "\t" << e.c << "\t" << e.value;
-        break;
-      case EventType::kLambda:
-        *out << "\t" << e.value;
-        break;
-      case EventType::kFriend:
-        *out << "\t" << e.u << "\t" << e.v;
-        break;
-      case EventType::kLeave:
-        *out << "\t" << e.u;
-        break;
-      case EventType::kRetireItem:
-        *out << "\t" << e.c;
-        break;
-      case EventType::kJoin:
-      case EventType::kAddItem:
-      case EventType::kResolve:
-        break;
-    }
-    *out << "\n";
-  }
-  *out << "end\n";
-  out->precision(old_precision);
-  if (!*out) return Status::Unknown("event log write failed");
-  return Status::OK();
-}
-
-Status WriteEventLogToFile(const EventLog& log, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return Status::NotFound("cannot open " + path + " for writing");
-  return WriteEventLog(log, &out);
-}
-
-Result<EventLog> ReadEventLog(std::istream* in) {
-  std::string line;
-  int line_no = 0;
-  auto fail = [&](const std::string& msg) {
-    return Status::InvalidArgument("event log line " +
-                                   std::to_string(line_no) + ": " + msg);
-  };
-
-  EventLog log;
-  bool saw_header = false;
-  bool saw_end = false;
-  while (std::getline(*in, line)) {
-    ++line_no;
-    const size_t hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    std::istringstream fields(line);
-    std::string tag;
-    if (!(fields >> tag)) continue;  // blank / comment line
-    if (!saw_header) {
-      int version = 0;
-      if (tag != "svgicevents" || !(fields >> version)) {
-        return fail("expected 'svgicevents <version>' header");
-      }
-      if (version != kFormatVersion) return fail("unsupported version");
-      saw_header = true;
-      continue;
-    }
-    if (tag == "end") {
-      saw_end = true;
-      break;
-    }
-    SessionEvent e;
-    bool ok = true;
-    if (tag == "pref") {
-      e.type = EventType::kPref;
-      ok = static_cast<bool>(fields >> e.u >> e.c >> e.value);
-    } else if (tag == "tau") {
-      e.type = EventType::kTau;
-      ok = static_cast<bool>(fields >> e.u >> e.v >> e.c >> e.value);
-    } else if (tag == "lambda") {
-      e.type = EventType::kLambda;
-      ok = static_cast<bool>(fields >> e.value);
-    } else if (tag == "join") {
-      e.type = EventType::kJoin;
-    } else if (tag == "friend") {
-      e.type = EventType::kFriend;
-      ok = static_cast<bool>(fields >> e.u >> e.v);
-    } else if (tag == "leave") {
-      e.type = EventType::kLeave;
-      ok = static_cast<bool>(fields >> e.u);
-    } else if (tag == "additem") {
-      e.type = EventType::kAddItem;
-    } else if (tag == "retireitem") {
-      e.type = EventType::kRetireItem;
-      ok = static_cast<bool>(fields >> e.c);
-    } else if (tag == "resolve") {
-      e.type = EventType::kResolve;
-    } else {
-      return fail("unknown event '" + tag + "'");
-    }
-    if (!ok) return fail("malformed '" + tag + "' arguments");
-    log.push_back(e);
-  }
-  if (!saw_header) return Status::InvalidArgument("empty event log");
-  if (!saw_end) return Status::InvalidArgument("event log missing 'end'");
-  return log;
-}
-
-Result<EventLog> ReadEventLogFromFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::NotFound("cannot open " + path);
-  return ReadEventLog(&in);
-}
-
-EventLog GenerateEventStream(const SvgicInstance& instance,
-                             const EventStreamParams& params) {
+CommandLog GenerateEventStream(const SvgicInstance& instance,
+                               const EventStreamParams& params) {
   Rng rng(params.seed);
   int n = instance.num_users();
   int m = instance.num_items();
@@ -143,18 +16,18 @@ EventLog GenerateEventStream(const SvgicInstance& instance,
       params.w_join,  params.w_leave,  params.w_lambda,
       params.w_add_item, params.w_retire_item};
 
-  EventLog log;
+  CommandLog log;
   for (int i = 0; i < params.num_mutations; ++i) {
-    SessionEvent e;
+    SessionCommand e;
     switch (rng.Discrete(weights)) {
       case 0:
-        e.type = EventType::kPref;
+        e.type = CommandType::kPref;
         e.u = static_cast<UserId>(rng.UniformInt(static_cast<uint64_t>(n)));
         e.c = static_cast<ItemId>(rng.UniformInt(static_cast<uint64_t>(m)));
         e.value = rng.Uniform();
         break;
       case 1:
-        e.type = EventType::kTau;
+        e.type = CommandType::kTau;
         e.u = static_cast<UserId>(rng.UniformInt(static_cast<uint64_t>(n)));
         do {
           e.v = static_cast<UserId>(rng.UniformInt(static_cast<uint64_t>(n)));
@@ -163,40 +36,40 @@ EventLog GenerateEventStream(const SvgicInstance& instance,
         e.value = rng.Uniform();
         break;
       case 2:
-        e.type = EventType::kFriend;
+        e.type = CommandType::kFriend;
         e.u = static_cast<UserId>(rng.UniformInt(static_cast<uint64_t>(n)));
         do {
           e.v = static_cast<UserId>(rng.UniformInt(static_cast<uint64_t>(n)));
         } while (e.v == e.u);
         break;
       case 3:
-        e.type = EventType::kJoin;
+        e.type = CommandType::kJoin;
         ++n;
         break;
       case 4:
-        e.type = EventType::kLeave;
+        e.type = CommandType::kLeave;
         e.u = static_cast<UserId>(rng.UniformInt(static_cast<uint64_t>(n)));
         break;
       case 5:
-        e.type = EventType::kLambda;
+        e.type = CommandType::kLambda;
         e.value = rng.Uniform(0.2, 0.8);
         break;
       case 6:
-        e.type = EventType::kAddItem;
+        e.type = CommandType::kAddItem;
         ++m;
         break;
       default:
-        e.type = EventType::kRetireItem;
+        e.type = CommandType::kRetireItem;
         e.c = static_cast<ItemId>(rng.UniformInt(static_cast<uint64_t>(m)));
         break;
     }
     log.push_back(e);
     if (params.resolve_every > 0 && (i + 1) % params.resolve_every == 0) {
-      log.push_back({EventType::kResolve, -1, -1, -1, 0.0});
+      log.push_back(MakeResolve());
     }
   }
-  if (log.empty() || log.back().type != EventType::kResolve) {
-    log.push_back({EventType::kResolve, -1, -1, -1, 0.0});
+  if (log.empty() || log.back().type != CommandType::kResolve) {
+    log.push_back(MakeResolve());
   }
   return log;
 }

@@ -1,59 +1,28 @@
-// Replayable session event log: legacy TSV format + the stream generator.
+// Synthetic session command streams.
 //
-// The event type itself is the unified SessionCommand tagged variant
-// (serve/session_command.h); SessionEvent/EventType survive as aliases so
-// pre-codec call sites keep compiling. New logs are written in the binary
-// command format (WriteCommandLog); the TSV writer/reader below remain as
-// the import shim for logs captured before the codec existed and as the
-// human-readable debug format.
-//
-// TSV layout — one event per line, '#' comments, fixed header/footer:
-//
-//   svgicevents <version>
-//   pref <u> <c> <value>        set p(u, c) = value
-//   tau <u> <v> <c> <value>     set tau(u, v, c) = value (befriends u, v
-//                               when the edge does not exist yet)
-//   lambda <value>              set the preference/social trade-off
-//   join                        a new user joins (id = current n)
-//   friend <u> <v>              adds the friendship {u, v}
-//   leave <u>                   user u leaves (utilities zeroed)
-//   additem                     a new item appears (id = current m)
-//   retireitem <c>              item c retired (utilities zeroed)
-//   resolve                     re-optimize the configuration
-//   end
-//
-// The same log drives bench_online_sessions, `svgic_cli serve`, and the
-// incremental-vs-cold equivalence tests, so a serving trace captured once
-// replays bit-identically everywhere (all randomness is session-seeded).
+// GenerateEventStream() produces a valid, seeded stream of mutations with
+// periodic resolves against a given instance. Streams are plain
+// CommandLogs (serve/session_command.h): they drive bench_online_sessions,
+// `svgic_cli genevents`, perfbench and the incremental-vs-cold
+// equivalence tests, and persist in the binary command-log format. All
+// randomness is seeded, so a stream generated once replays
+// bit-identically everywhere.
 
 #pragma once
 
-#include <iosfwd>
-#include <string>
-#include <vector>
+#include <cstdint>
 
 #include "core/problem.h"
 #include "serve/session_command.h"
-#include "util/random.h"
-#include "util/status.h"
 
 namespace savg {
-
-using EventType = CommandType;
-using SessionEvent = SessionCommand;
-using EventLog = CommandLog;
-
-Status WriteEventLog(const EventLog& log, std::ostream* out);
-Status WriteEventLogToFile(const EventLog& log, const std::string& path);
-Result<EventLog> ReadEventLog(std::istream* in);
-Result<EventLog> ReadEventLogFromFile(const std::string& path);
 
 /// Knobs of the synthetic mutation-stream generator used by the bench and
 /// the property tests. Probabilities are relative weights.
 struct EventStreamParams {
   int num_mutations = 100;
-  /// A resolve event is inserted after every this many mutations (and once
-  /// at the end).
+  /// A resolve command is inserted after every this many mutations (and
+  /// once at the end).
   int resolve_every = 5;
   uint64_t seed = 1;
   double w_pref = 0.55;
@@ -66,9 +35,9 @@ struct EventStreamParams {
   double w_retire_item = 0.01;
 };
 
-/// Generates a valid event stream against `instance` (tracking the user /
-/// item counts its own join/additem events grow).
-EventLog GenerateEventStream(const SvgicInstance& instance,
-                             const EventStreamParams& params);
+/// Generates a valid command stream against `instance` (tracking the user
+/// / item counts its own join/additem commands grow).
+CommandLog GenerateEventStream(const SvgicInstance& instance,
+                               const EventStreamParams& params);
 
 }  // namespace savg

@@ -263,13 +263,6 @@ Result<CommandOutcome> Session::ApplyImpl(const SessionCommand& command) {
   return Status::InvalidArgument("unknown command type");
 }
 
-Status Session::ApplyEvent(const SessionEvent& event, ResolveReport* report) {
-  auto outcome = Apply(event);
-  if (!outcome.ok()) return outcome.status();
-  if (outcome->resolved && report != nullptr) *report = outcome->report;
-  return Status::OK();
-}
-
 Result<ResolveReport> Session::Resolve(bool force_cold) {
   // A failed resolve must be a true no-op on served state: config_, basis_
   // and frac_ only commit at the success point of the resolve paths, dirty

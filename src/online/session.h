@@ -34,7 +34,7 @@
 #include "core/lp_formulation.h"
 #include "core/problem.h"
 #include "lp/simplex.h"
-#include "online/event_log.h"
+#include "serve/session_command.h"
 #include "shard/shard_solve.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -249,50 +249,11 @@ class Session {
   // --- The unified command entry point -----------------------------------
 
   /// Applies one SessionCommand — THE mutation/resolve path every caller
-  /// (wire protocol, event-log replay, CLI, benches) goes through. A
+  /// (wire protocol, command-log replay, CLI, benches) goes through. A
   /// kResolve command runs Resolve() and returns the report in the
   /// outcome; kJoin/kAddItem return the allocated id. Mutations take
   /// effect at the next resolve.
   Result<CommandOutcome> Apply(const SessionCommand& command);
-
-  // --- Legacy per-mutation entry points -----------------------------------
-  // Thin wrappers over Apply(); kept for tests and call-site readability.
-
-  /// Sets p(u, c) = value (absolute, not additive).
-  Status PreferenceDelta(UserId u, ItemId c, double value) {
-    return Apply(MakePref(u, c, value)).status();
-  }
-  /// Sets tau(u, v, c) = value; befriends u and v when no edge exists.
-  Status TauDelta(UserId u, UserId v, ItemId c, double value) {
-    return Apply(MakeTau(u, v, c, value)).status();
-  }
-  /// Adds the friendship {u, v} with no social utility yet.
-  Status FriendAdded(UserId u, UserId v) {
-    return Apply(MakeFriend(u, v)).status();
-  }
-  /// A new user joins with zero preferences; returns the id.
-  Result<UserId> UserJoined() {
-    auto outcome = Apply(MakeJoin());
-    if (!outcome.ok()) return outcome.status();
-    return static_cast<UserId>(outcome->assigned_id);
-  }
-  /// User u leaves: utilities zeroed, id stays valid (dense ids).
-  Status UserLeft(UserId u) { return Apply(MakeLeave(u)).status(); }
-  /// Sets lambda (must stay in (0, 1]; every user is re-rounded).
-  Status SetLambda(double lambda) {
-    return Apply(MakeLambda(lambda)).status();
-  }
-  /// A new item appears with zero utilities; returns the id.
-  ItemId ItemAdded() {
-    auto outcome = Apply(MakeAddItem());
-    return outcome.ok() ? static_cast<ItemId>(outcome->assigned_id) : -1;
-  }
-  /// Item c retired: utilities zeroed, id stays valid.
-  Status ItemRetired(ItemId c) { return Apply(MakeRetireItem(c)).status(); }
-
-  /// Applies one replayed event (compat shim over Apply). A kResolve
-  /// event triggers Resolve() and stores the report in `report`.
-  Status ApplyEvent(const SessionEvent& event, ResolveReport* report);
 
   /// Re-optimizes: incremental warm-started LP + dirty-user re-rounding,
   /// or a cold solve (see class comment). With `force_cold` the cached

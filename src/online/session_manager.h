@@ -37,7 +37,6 @@
 
 #include "metrics/registry.h"
 #include "obs/trace.h"
-#include "online/event_log.h"
 #include "online/session.h"
 #include "util/status.h"
 #include "util/thread_pool.h"

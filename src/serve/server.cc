@@ -406,8 +406,11 @@ void ServeServer::ServeConnection(const std::shared_ptr<Connection>& conn) {
     }
   }
   {
-    std::lock_guard<std::mutex> lock(conn->write_mu);
+    // Closed under both locks: senders read fd under write_mu, Shutdown()
+    // under conns_mu_, so neither can shutdown() a recycled descriptor.
+    std::lock_guard<std::mutex> write_lock(conn->write_mu);
     conn->open.store(false);
+    std::lock_guard<std::mutex> conns_lock(conns_mu_);
     ::close(conn->fd);
     conn->fd = -1;
   }
@@ -580,17 +583,21 @@ void ServeServer::Shutdown() {
     return;
   }
   // Break the accept loop, then every reader loop, then wait for all
-  // pending commands so completion callbacks fire before teardown.
+  // pending commands so completion callbacks fire before teardown. The
+  // listener is closed only after the accept thread, which reads
+  // listen_fd_, has exited.
   ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   ::close(listen_fd_);
   listen_fd_ = -1;
-  if (accept_thread_.joinable()) accept_thread_.join();
   {
+    // Holding conns_mu_ keeps each connection's fd from being closed (and
+    // its number reused) between the check and the shutdown(). write_mu is
+    // deliberately not taken: a send blocked on a stalled peer holds it,
+    // and only this shutdown() can unblock that send.
     std::lock_guard<std::mutex> lock(conns_mu_);
     for (auto& conn : conns_) {
-      if (conn->open.load() && conn->fd >= 0) {
-        ::shutdown(conn->fd, SHUT_RDWR);
-      }
+      if (conn->fd >= 0) ::shutdown(conn->fd, SHUT_RDWR);
     }
   }
   for (;;) {

@@ -7,8 +7,6 @@
 #include <iterator>
 #include <ostream>
 
-#include "online/event_log.h"
-
 namespace savg {
 
 namespace {
@@ -290,18 +288,13 @@ Status WriteCommandLogToFile(const CommandLog& log, const std::string& path) {
 }
 
 Result<CommandLog> ReadCommandLog(std::istream* in) {
-  // Sniff the first 4 bytes: binary logs start with "SVGB", legacy TSV
-  // logs with "svgi" ("svgicevents <version>"). The shim keeps every log
-  // written before the binary codec replayable.
   char magic[4] = {0, 0, 0, 0};
   in->read(magic, sizeof(magic));
   if (in->gcount() < static_cast<std::streamsize>(sizeof(magic))) {
     return Status::InvalidArgument("command log shorter than its magic");
   }
   if (std::memcmp(magic, kLogMagic, sizeof(magic)) != 0) {
-    in->clear();
-    in->seekg(0);
-    return ReadEventLog(in);  // TSV import shim
+    return Status::InvalidArgument("not a binary command log (bad magic)");
   }
   std::string rest((std::istreambuf_iterator<char>(*in)),
                    std::istreambuf_iterator<char>());
@@ -319,8 +312,10 @@ Result<CommandLog> ReadCommandLog(std::istream* in) {
                                    std::to_string(count));
   }
   CommandLog log;
+  // Every command takes at least its tag byte, so the bytes present bound
+  // the pre-reserve whatever count the header claims.
   log.reserve(static_cast<size_t>(
-      std::min<uint64_t>(count, 1 << 20)));  // cap pre-reserve
+      std::min<uint64_t>(count, rest.size() - (4 + 8))));
   size_t offset = 4 + 8;
   for (uint64_t i = 0; i < count; ++i) {
     size_t consumed = 0;

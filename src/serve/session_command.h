@@ -1,13 +1,12 @@
-// The unified session mutation/resolve command (api_redesign tentpole).
+// The unified session mutation/resolve command.
 //
 // A SessionCommand is a tagged variant describing exactly one operation on
 // a live serving Session. It is THE canonical representation shared by
 //
 //   * the framed wire protocol (serve/wire.h carries one encoded command
 //     per apply frame),
-//   * the binary command log (replaces the TSV event log's per-event
-//     string parsing; a TSV import shim keeps old logs readable),
-//   * the replay stream generator (online/event_log.h),
+//   * the binary command log and the durability changelog,
+//   * the synthetic stream generator (online/event_log.h),
 //   * `svgic_cli serve` / `svgic_cli genevents`, and
 //   * the in-process entry point Session::Apply(const SessionCommand&).
 //
@@ -33,9 +32,8 @@
 //
 //   "SVGB" magic | u32 version | u64 command count | encoded commands
 //
-// ReadCommandLog() sniffs the magic and falls back to the legacy TSV
-// parser (online/event_log.h) when it sees "svgicevents", so pre-existing
-// logs keep replaying without conversion.
+// It is the only command-log format: ReadCommandLog() rejects any other
+// magic with InvalidArgument.
 
 #pragma once
 
@@ -61,7 +59,7 @@ enum class CommandType : uint8_t {
   kResolve = 9,     ///< re-optimize the configuration
 };
 
-/// "pref", "tau", ... (the TSV tags; stable telemetry labels).
+/// "pref", "tau", ... (stable telemetry labels).
 const char* CommandTypeName(CommandType type);
 
 /// One mutation (or resolve trigger) of a live session.
@@ -112,8 +110,8 @@ size_t EncodedCommandSize(const SessionCommand& cmd);
 Status WriteCommandLog(const CommandLog& log, std::ostream* out);
 Status WriteCommandLogToFile(const CommandLog& log, const std::string& path);
 
-/// Reads a command log: binary ("SVGB") natively, legacy TSV
-/// ("svgicevents", online/event_log.h) through the import shim.
+/// Reads a binary ("SVGB") command log. Bad magic, an unsupported version,
+/// a truncated or unknown command, or trailing bytes yield InvalidArgument.
 Result<CommandLog> ReadCommandLog(std::istream* in);
 Result<CommandLog> ReadCommandLogFromFile(const std::string& path);
 

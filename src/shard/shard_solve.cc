@@ -446,39 +446,33 @@ Status ShardCoordinator::SolveFractional(ThreadPool* pool,
       active_cuts = collect_active_cuts();
       if (active_cuts.empty()) break;
     }
-    double step;
-    if (options_.polyak_dual_steps) {
-      // Polyak step toward the running primal bound: the remaining gap
-      // D - P_best over the squared subgradient norm sizes the move by how
-      // far the duals still are from closing it, instead of a blind
-      // 1/sqrt(round) decay. Because part of that gap can be intrinsic
-      // (the Lagrangian bound does not always meet the stitched primal),
-      // the scale is adapted Held-Karp style: every round that fails to
-      // improve the dual bound halves it, so an unreachable target decays
-      // the steps geometrically instead of oscillating forever.
-      best_primal = std::max(best_primal, primal);
-      if (dual_bound < best_dual - 1e-9 * std::max(1.0, std::abs(best_dual))) {
-        best_dual = dual_bound;
-      } else {
-        polyak_scale *= 0.5;
-      }
-      double gnorm2 = 0.0;
-      for (int pi : active_cuts) {
-        const FriendPair& pair = instance_->pairs()[pi];
-        const size_t bu = static_cast<size_t>(pair.u) * m;
-        const size_t bv = static_cast<size_t>(pair.v) * m;
-        for (const ItemValue& iv : pair.weights) {
-          const double g = frac_.x[bu + iv.item] - frac_.x[bv + iv.item];
-          gnorm2 += g * g;
-        }
-      }
-      if (gnorm2 < 1e-12) break;  // zero subgradient: duals cannot move
-      step = polyak_scale * std::max(0.0, dual_bound - best_primal) / gnorm2;
-      if (step <= 0.0) break;  // bound already met: further rounds are no-ops
+    // Polyak step toward the running primal bound: the remaining gap
+    // D - P_best over the squared subgradient norm sizes the move by how
+    // far the duals still are from closing it. Because part of that gap can
+    // be intrinsic (the Lagrangian bound does not always meet the stitched
+    // primal), the scale is adapted Held-Karp style: every round that fails
+    // to improve the dual bound halves it, so an unreachable target decays
+    // the steps geometrically instead of oscillating forever.
+    best_primal = std::max(best_primal, primal);
+    if (dual_bound < best_dual - 1e-9 * std::max(1.0, std::abs(best_dual))) {
+      best_dual = dual_bound;
     } else {
-      step = options_.dual_step_scale /
-             std::sqrt(static_cast<double>(round) + 1.0);
+      polyak_scale *= 0.5;
     }
+    double gnorm2 = 0.0;
+    for (int pi : active_cuts) {
+      const FriendPair& pair = instance_->pairs()[pi];
+      const size_t bu = static_cast<size_t>(pair.u) * m;
+      const size_t bv = static_cast<size_t>(pair.v) * m;
+      for (const ItemValue& iv : pair.weights) {
+        const double g = frac_.x[bu + iv.item] - frac_.x[bv + iv.item];
+        gnorm2 += g * g;
+      }
+    }
+    if (gnorm2 < 1e-12) break;  // zero subgradient: duals cannot move
+    const double step =
+        polyak_scale * std::max(0.0, dual_bound - best_primal) / gnorm2;
+    if (step <= 0.0) break;  // bound already met: further rounds are no-ops
     for (int pi : active_cuts) {
       const FriendPair& pair = instance_->pairs()[pi];
       const size_t bu = static_cast<size_t>(pair.u) * m;

@@ -109,17 +109,12 @@ struct ShardSolveOptions {
   /// suboptimality; with subgradient shards it is the same heuristic
   /// certificate the monolithic approximate path provides.
   double gap_tolerance = 0.01;
-  /// Step scale of the dual subgradient update (multiplies the Polyak
-  /// step, or the diminishing schedule when polyak_dual_steps is off).
+  /// Initial scale of the Polyak dual step: step = scale * (D - P_best) /
+  /// ||g||^2, where D is the current dual bound, P_best the best stitched
+  /// primal seen this solve (the running primal bound) and g the
+  /// subgradient over the active cut entries. The scale halves on every
+  /// round that fails to improve the dual bound.
   double dual_step_scale = 0.5;
-  /// Polyak dual steps (default): step = scale * (D - P_best) / ||g||^2,
-  /// where D is the current dual bound, P_best the best stitched primal
-  /// seen this solve (the running primal bound) and g the subgradient over
-  /// the active cut entries. Sized by the actual remaining gap, it closes
-  /// in fewer coordination rounds than the fixed 1/sqrt(round) schedule
-  /// (bench_shard_scale logs rounds-to-gap for both; ROADMAP PR 4
-  /// follow-up (a)). Off = the PR 4 diminishing schedule.
-  bool polyak_dual_steps = true;
   /// Inner subgradient iterations for warm (non-first) rounds of
   /// subgradient shards; the warm point makes long ascents unnecessary.
   int warm_subgradient_iterations = 16;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "core/lp_formulation.h"
 #include "core/objective.h"
@@ -75,8 +74,8 @@ TEST(OnlineSessionTest, SingleUserMutationPivotsAtLeast40PercentBelowCold) {
   Session session(base, SessionOptions{});
   ASSERT_TRUE(session.Resolve().ok());
 
-  ASSERT_TRUE(session.PreferenceDelta(3, 5, 0.9).ok());
-  ASSERT_TRUE(session.PreferenceDelta(3, 17, 0.05).ok());
+  ASSERT_TRUE(session.Apply(MakePref(3, 5, 0.9)).ok());
+  ASSERT_TRUE(session.Apply(MakePref(3, 17, 0.05)).ok());
   auto warm = session.Resolve();
   ASSERT_TRUE(warm.ok()) << warm.status();
   EXPECT_EQ(warm->path, ResolvePath::kIncremental);
@@ -105,13 +104,14 @@ TEST(OnlineSessionTest, ResolveMatchesColdSolveAfterAnyMutationSequence) {
     stream.num_mutations = 40;
     stream.resolve_every = 8;
     stream.seed = stream_seed;
-    const EventLog log = GenerateEventStream(base, stream);
+    const CommandLog log = GenerateEventStream(base, stream);
+    ASSERT_EQ(log.back().type, CommandType::kResolve);
 
     Session session(std::move(base));
     ASSERT_TRUE(session.Resolve().ok());
-    for (const SessionEvent& event : log) {
-      if (event.type != EventType::kResolve) {
-        ASSERT_TRUE(session.ApplyEvent(event, nullptr).ok())
+    for (const SessionCommand& command : log) {
+      if (command.type != CommandType::kResolve) {
+        ASSERT_TRUE(session.Apply(command).ok())
             << "stream " << stream_seed;
         continue;
       }
@@ -136,16 +136,17 @@ TEST(OnlineSessionTest, MutationsDriveStructuralChanges) {
   Session session(RandomInstance(10, 16, 3, 0.5, 21));
   ASSERT_TRUE(session.Resolve().ok());
 
-  auto joined = session.UserJoined();
+  auto joined = session.Apply(MakeJoin());
   ASSERT_TRUE(joined.ok());
-  EXPECT_EQ(*joined, 10);
-  ASSERT_TRUE(session.PreferenceDelta(*joined, 2, 0.8).ok());
-  ASSERT_TRUE(session.TauDelta(*joined, 0, 2, 0.5).ok());
-  const ItemId item = session.ItemAdded();
-  EXPECT_EQ(item, 16);
-  ASSERT_TRUE(session.PreferenceDelta(1, item, 0.7).ok());
-  ASSERT_TRUE(session.ItemRetired(0).ok());
-  ASSERT_TRUE(session.UserLeft(4).ok());
+  EXPECT_EQ(joined->assigned_id, 10);
+  ASSERT_TRUE(session.Apply(MakePref(joined->assigned_id, 2, 0.8)).ok());
+  ASSERT_TRUE(session.Apply(MakeTau(joined->assigned_id, 0, 2, 0.5)).ok());
+  auto item = session.Apply(MakeAddItem());
+  ASSERT_TRUE(item.ok());
+  EXPECT_EQ(item->assigned_id, 16);
+  ASSERT_TRUE(session.Apply(MakePref(1, item->assigned_id, 0.7)).ok());
+  ASSERT_TRUE(session.Apply(MakeRetireItem(0)).ok());
+  ASSERT_TRUE(session.Apply(MakeLeave(4)).ok());
 
   auto report = session.Resolve();
   ASSERT_TRUE(report.ok()) << report.status();
@@ -164,7 +165,7 @@ TEST(OnlineSessionTest, MutationsDriveStructuralChanges) {
 TEST(OnlineSessionTest, LambdaChangeKeepsShapeAndWarmStarts) {
   Session session(RandomInstance(16, 24, 3, 0.5, 5));
   ASSERT_TRUE(session.Resolve().ok());
-  ASSERT_TRUE(session.SetLambda(0.7).ok());
+  ASSERT_TRUE(session.Apply(MakeLambda(0.7)).ok());
   auto report = session.Resolve();
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report->path, ResolvePath::kIncremental);
@@ -183,7 +184,7 @@ TEST(OnlineSessionTest, PeriodicFullReroundFreesEveryUnit) {
       session.instance().num_users() * session.instance().num_slots();
   double value = 0.2;
   for (int resolve = 1; resolve <= 6; ++resolve) {
-    ASSERT_TRUE(session.PreferenceDelta(resolve % 14, 2, value).ok());
+    ASSERT_TRUE(session.Apply(MakePref(resolve % 14, 2, value)).ok());
     value += 0.05;
     auto report = session.Resolve();
     ASSERT_TRUE(report.ok()) << report.status();
@@ -214,7 +215,7 @@ TEST(OnlineSessionTest, DriftTriggeredReroundFreesEveryUnit) {
   EXPECT_FALSE(first->drift_reround);  // cold resolves keep nothing anyway
   double value = 0.2;
   for (int resolve = 0; resolve < 4; ++resolve) {
-    ASSERT_TRUE(session.PreferenceDelta(resolve % 14, 2, value).ok());
+    ASSERT_TRUE(session.Apply(MakePref(resolve % 14, 2, value)).ok());
     value += 0.05;
     auto report = session.Resolve();
     ASSERT_TRUE(report.ok()) << report.status();
@@ -231,20 +232,21 @@ TEST(OnlineSessionTest, DriftTriggeredReroundFreesEveryUnit) {
   off.reround_utility_threshold = 1e-9;
   Session calm(RandomInstance(14, 20, 3, 0.5, 11), off);
   ASSERT_TRUE(calm.Resolve().ok());
-  ASSERT_TRUE(calm.PreferenceDelta(3, 2, 0.9).ok());
+  ASSERT_TRUE(calm.Apply(MakePref(3, 2, 0.9)).ok());
   auto report = calm.Resolve();
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_FALSE(report->drift_reround);
   EXPECT_LT(report->rerounded_units, all_units);
 }
 
-TEST(OnlineSessionTest, RetiringItemAddedSinceLastResolveIsSafe) {
+TEST(OnlineSessionTest, RetiringFreshlyAddedItemIsSafe) {
   // Regression: the served configuration predates the added item, so the
   // retire path must not probe config slots for the new id.
   Session session(RandomInstance(8, 12, 2, 0.5, 9));
   ASSERT_TRUE(session.Resolve().ok());
-  const ItemId item = session.ItemAdded();
-  ASSERT_TRUE(session.ItemRetired(item).ok());
+  auto item = session.Apply(MakeAddItem());
+  ASSERT_TRUE(item.ok());
+  ASSERT_TRUE(session.Apply(MakeRetireItem(item->assigned_id)).ok());
   auto report = session.Resolve();
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(session.config().num_items(), 13);
@@ -253,53 +255,14 @@ TEST(OnlineSessionTest, RetiringItemAddedSinceLastResolveIsSafe) {
 
 TEST(OnlineSessionTest, RejectsInvalidMutations) {
   Session session(RandomInstance(8, 12, 2, 0.5, 3));
-  EXPECT_FALSE(session.PreferenceDelta(99, 0, 0.5).ok());
-  EXPECT_FALSE(session.PreferenceDelta(0, 99, 0.5).ok());
-  EXPECT_FALSE(session.PreferenceDelta(0, 0, -0.5).ok());
-  EXPECT_FALSE(session.TauDelta(0, 0, 0, 0.5).ok());  // self pair
-  EXPECT_FALSE(session.SetLambda(0.0).ok());
-  EXPECT_FALSE(session.SetLambda(1.5).ok());
-  EXPECT_FALSE(session.UserLeft(-1).ok());
-  EXPECT_FALSE(session.ItemRetired(99).ok());
-}
-
-TEST(EventLogTest, RoundTripsThroughTsv) {
-  SvgicInstance base = RandomInstance(10, 15, 3, 0.5, 2);
-  EventStreamParams params;
-  params.num_mutations = 60;
-  params.resolve_every = 7;
-  params.seed = 9;
-  const EventLog log = GenerateEventStream(base, params);
-  ASSERT_FALSE(log.empty());
-  EXPECT_EQ(log.back().type, EventType::kResolve);
-
-  std::stringstream stream;
-  ASSERT_TRUE(WriteEventLog(log, &stream).ok());
-  auto parsed = ReadEventLog(&stream);
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-  ASSERT_EQ(parsed->size(), log.size());
-  for (size_t i = 0; i < log.size(); ++i) {
-    EXPECT_TRUE((*parsed)[i] == log[i]) << "event " << i;
-  }
-}
-
-TEST(EventLogTest, RejectsMalformedInput) {
-  {
-    std::stringstream s("pref 0 1 0.5\nend\n");
-    EXPECT_FALSE(ReadEventLog(&s).ok());  // missing header
-  }
-  {
-    std::stringstream s("svgicevents 1\npref 0\nend\n");
-    EXPECT_FALSE(ReadEventLog(&s).ok());  // truncated args
-  }
-  {
-    std::stringstream s("svgicevents 1\nwarp 1 2\nend\n");
-    EXPECT_FALSE(ReadEventLog(&s).ok());  // unknown event
-  }
-  {
-    std::stringstream s("svgicevents 1\nresolve\n");
-    EXPECT_FALSE(ReadEventLog(&s).ok());  // missing end
-  }
+  EXPECT_FALSE(session.Apply(MakePref(99, 0, 0.5)).ok());
+  EXPECT_FALSE(session.Apply(MakePref(0, 99, 0.5)).ok());
+  EXPECT_FALSE(session.Apply(MakePref(0, 0, -0.5)).ok());
+  EXPECT_FALSE(session.Apply(MakeTau(0, 0, 0, 0.5)).ok());  // self pair
+  EXPECT_FALSE(session.Apply(MakeLambda(0.0)).ok());
+  EXPECT_FALSE(session.Apply(MakeLambda(1.5)).ok());
+  EXPECT_FALSE(session.Apply(MakeLeave(-1)).ok());
+  EXPECT_FALSE(session.Apply(MakeRetireItem(99)).ok());
 }
 
 TEST(BasisProjectionTest, IdentityProjectionIsExact) {
@@ -365,7 +328,7 @@ TEST(BasisProjectionTest, ProjectsAcrossAddedUser) {
 TEST(SessionManagerTest, ConcurrentSessionsMatchSerialReplay) {
   const int kSessions = 3;
   std::vector<SvgicInstance> bases;
-  std::vector<EventLog> logs;
+  std::vector<CommandLog> logs;
   for (int i = 0; i < kSessions; ++i) {
     bases.push_back(RandomInstance(10, 16, 2, 0.5, 300 + i));
     EventStreamParams stream;
@@ -383,8 +346,10 @@ TEST(SessionManagerTest, ConcurrentSessionsMatchSerialReplay) {
     options.seed = 1000 + i;
     Session session(bases[i], options);
     ResolveReport last;
-    for (const SessionEvent& event : logs[i]) {
-      ASSERT_TRUE(session.ApplyEvent(event, &last).ok());
+    for (const SessionCommand& command : logs[i]) {
+      auto outcome = session.Apply(command);
+      ASSERT_TRUE(outcome.ok()) << outcome.status();
+      if (outcome->resolved) last = outcome->report;
     }
     serial_totals.push_back(last.scaled_total);
     serial_configs.push_back(session.config());
@@ -401,8 +366,8 @@ TEST(SessionManagerTest, ConcurrentSessionsMatchSerialReplay) {
       ids.push_back(manager.CreateSession(bases[i], options));
     }
     for (int i = 0; i < kSessions; ++i) {
-      for (const SessionEvent& event : logs[i]) {
-        ASSERT_TRUE(manager.Submit(ids[i], event).ok());
+      for (const SessionCommand& command : logs[i]) {
+        ASSERT_TRUE(manager.Submit(ids[i], command).ok());
       }
     }
     manager.Drain();

@@ -10,8 +10,10 @@
 #include "core/avg_d.h"
 #include "core/lp_formulation.h"
 #include "core/objective.h"
-#include "experiments/runner.h"
+#include "datagen/datasets.h"
 #include "graph/generators.h"
+#include "solvers/solver_options.h"
+#include "solvers/solver_registry.h"
 
 namespace savg {
 namespace {
@@ -123,13 +125,18 @@ TEST(RobustnessTest, AvgLsRunnerVariantImprovesOnAvg) {
   params.seed = 77;
   auto inst = GenerateDataset(params);
   ASSERT_TRUE(inst.ok());
-  RunnerConfig config;
-  auto avg = RunAlgorithm(*inst, Algo::kAvg, config);
-  auto avg_ls = RunAlgorithm(*inst, Algo::kAvgLs, config);
+  SolverOptions config;
+  SolverContext context;
+  context.options = &config;
+  auto avg_solver = SolverRegistry::Global().Find("AVG");
+  auto avg_ls_solver = SolverRegistry::Global().Find("AVG+LS");
+  ASSERT_TRUE(avg_solver.ok() && avg_ls_solver.ok());
+  EXPECT_EQ((*avg_ls_solver)->Name(), "AVG+LS");
+  auto avg = (*avg_solver)->Solve(*inst, context);
+  auto avg_ls = (*avg_ls_solver)->Solve(*inst, context);
   ASSERT_TRUE(avg.ok() && avg_ls.ok());
   EXPECT_TRUE(avg_ls->config.CheckValid().ok());
   EXPECT_GE(avg_ls->scaled_total, avg->scaled_total - 1e-9);
-  EXPECT_STREQ(AlgoName(Algo::kAvgLs), "AVG+LS");
 }
 
 }  // namespace

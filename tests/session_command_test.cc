@@ -1,8 +1,7 @@
 // Tests of the canonical SessionCommand binary codec and command log
 // (src/serve/session_command.h): randomized round trips must be
-// bit-exact, malformed input must be rejected without reading past the
-// buffer, and the TSV import shim must replay identically to the legacy
-// reader.
+// bit-exact, and malformed or fuzzed input must be rejected without
+// reading past the buffer.
 
 #include <gtest/gtest.h>
 
@@ -12,28 +11,10 @@
 #include <sstream>
 #include <string>
 
-#include "datagen/datasets.h"
-#include "online/event_log.h"
-#include "online/session.h"
 #include "serve/session_command.h"
 
 namespace savg {
 namespace {
-
-SvgicInstance RandomInstance(int n, int m, int k, double lambda,
-                             uint64_t seed) {
-  DatasetParams params;
-  params.kind = DatasetKind::kTimik;
-  params.num_users = n;
-  params.num_items = m;
-  params.num_slots = k;
-  params.lambda = lambda;
-  params.seed = seed;
-  params.universe_users = 4 * n + 20;
-  auto inst = GenerateDataset(params);
-  EXPECT_TRUE(inst.ok()) << inst.status();
-  return std::move(inst).value();
-}
 
 SessionCommand RandomCommand(std::mt19937_64* rng) {
   std::uniform_int_distribution<int> tag(1, 9);
@@ -157,92 +138,75 @@ TEST(SessionCommandTest, CommandLogRejectsCorruptStreams) {
     std::stringstream in(bytes + "junk");
     EXPECT_FALSE(ReadCommandLog(&in).ok());
   }
-}
-
-TEST(SessionCommandTest, TsvImportShimMatchesLegacyReader) {
-  const SvgicInstance inst = RandomInstance(12, 20, 3, 0.5, 17);
-  EventStreamParams params;
-  params.num_mutations = 60;
-  params.resolve_every = 6;
-  params.seed = 3;
-  const CommandLog log = GenerateEventStream(inst, params);
-
-  // A TSV log read through ReadCommandLog must equal the legacy reader's
-  // result exactly.
-  std::stringstream tsv;
-  ASSERT_TRUE(WriteEventLog(log, &tsv).ok());
-  const std::string tsv_bytes = tsv.str();
-  std::stringstream legacy_in(tsv_bytes);
-  auto legacy = ReadEventLog(&legacy_in);
-  ASSERT_TRUE(legacy.ok()) << legacy.status();
-  std::stringstream shim_in(tsv_bytes);
-  auto shim = ReadCommandLog(&shim_in);
-  ASSERT_TRUE(shim.ok()) << shim.status();
-  EXPECT_EQ(*shim, *legacy);
-}
-
-TEST(SessionCommandTest, ConvertedLegacyLogReplaysToIdenticalConfiguration) {
-  // The acceptance check: replaying a converted legacy TSV log yields the
-  // exact same final configuration as replaying the TSV log directly
-  // (all randomness is session-seeded, so equal command streams give
-  // bit-identical serving states).
-  const SvgicInstance inst = RandomInstance(12, 20, 3, 0.5, 19);
-  EventStreamParams params;
-  params.num_mutations = 40;
-  params.resolve_every = 5;
-  params.seed = 5;
-  const CommandLog log = GenerateEventStream(inst, params);
-
-  std::stringstream tsv;
-  ASSERT_TRUE(WriteEventLog(log, &tsv).ok());
-  auto from_tsv = ReadCommandLog(&tsv);
-  ASSERT_TRUE(from_tsv.ok()) << from_tsv.status();
-
-  std::stringstream binary;
-  ASSERT_TRUE(WriteCommandLog(*from_tsv, &binary).ok());
-  auto from_binary = ReadCommandLog(&binary);
-  ASSERT_TRUE(from_binary.ok()) << from_binary.status();
-  // Note: TSV stores doubles with finite precision, so the equivalence is
-  // TSV-read == binary-round-trip of the TSV-read (bit-exact from there).
-  ASSERT_EQ(*from_binary, *from_tsv);
-
-  SessionOptions options;
-  options.seed = 7;
-  Session tsv_session(inst, options);
-  Session bin_session(inst, options);
-  for (size_t i = 0; i < from_tsv->size(); ++i) {
-    ASSERT_TRUE(tsv_session.Apply((*from_tsv)[i]).ok()) << i;
-    ASSERT_TRUE(bin_session.Apply((*from_binary)[i]).ok()) << i;
-  }
-  ASSERT_EQ(tsv_session.config().num_users(),
-            bin_session.config().num_users());
-  for (UserId u = 0; u < tsv_session.config().num_users(); ++u) {
-    EXPECT_EQ(tsv_session.config().ItemsOf(u),
-              bin_session.config().ItemsOf(u))
-        << "user " << u;
+  {  // A text event stream is not a command log.
+    std::stringstream in("svgicevents 1\npref\t1\t2\t0.5\nresolve\nend\n");
+    auto read = ReadCommandLog(&in);
+    ASSERT_FALSE(read.ok());
+    EXPECT_EQ(read.status().code(), StatusCode::kInvalidArgument);
   }
 }
 
-TEST(SessionCommandTest, FileRoundTripSniffsBothFormats) {
+TEST(SessionCommandTest, FileRoundTripIsExact) {
   std::mt19937_64 rng(23);
   CommandLog log;
   for (int i = 0; i < 50; ++i) log.push_back(RandomCommand(&rng));
 
-  const std::string binary_path =
-      ::testing::TempDir() + "/commands_roundtrip.bin";
-  ASSERT_TRUE(WriteCommandLogToFile(log, binary_path).ok());
-  auto binary = ReadCommandLogFromFile(binary_path);
-  ASSERT_TRUE(binary.ok()) << binary.status();
-  EXPECT_EQ(*binary, log);
+  const std::string path = ::testing::TempDir() + "/commands_roundtrip.bin";
+  ASSERT_TRUE(WriteCommandLogToFile(log, path).ok());
+  auto read_back = ReadCommandLogFromFile(path);
+  ASSERT_TRUE(read_back.ok()) << read_back.status();
+  EXPECT_EQ(*read_back, log);
+  std::remove(path.c_str());
+}
 
-  const std::string tsv_path = ::testing::TempDir() + "/commands_legacy.tsv";
-  ASSERT_TRUE(WriteEventLogToFile(log, tsv_path).ok());
-  auto tsv = ReadCommandLogFromFile(tsv_path);
-  ASSERT_TRUE(tsv.ok()) << tsv.status();
-  EXPECT_EQ(tsv->size(), log.size());
+TEST(SessionCommandTest, FuzzedLogsNeverCrashTheReader) {
+  // Byte flips, truncations, insertions and hostile command counts over
+  // valid logs: ReadCommandLog must either decode a log or fail with
+  // InvalidArgument — never crash, hang, or read out of bounds (the ASan
+  // CI job enforces the latter).
+  std::mt19937_64 rng(101);
+  std::uniform_int_distribution<int> byte(0, 255);
+  std::uniform_real_distribution<double> coin(0.0, 1.0);
+  constexpr size_t kCountOffset = 4 + 4;  // magic + version
+  for (int trial = 0; trial < 400; ++trial) {
+    CommandLog log;
+    const int commands = trial % 12;
+    for (int i = 0; i < commands; ++i) log.push_back(RandomCommand(&rng));
+    std::stringstream encoded;
+    ASSERT_TRUE(WriteCommandLog(log, &encoded).ok());
+    std::string bytes = encoded.str();
 
-  std::remove(binary_path.c_str());
-  std::remove(tsv_path.c_str());
+    for (int i = 0; i < 3; ++i) {
+      if (coin(rng) < 0.6) {
+        bytes[rng() % bytes.size()] = static_cast<char>(byte(rng));
+      }
+    }
+    if (coin(rng) < 0.3) {
+      // Hostile count: anything from one-off to the 64-bit maximum.
+      const uint64_t hostile =
+          coin(rng) < 0.5 ? log.size() + 1 + rng() % 8 : rng();
+      for (int i = 0; i < 8; ++i) {
+        bytes[kCountOffset + i] = static_cast<char>(hostile >> (8 * i));
+      }
+    }
+    if (coin(rng) < 0.3) bytes.resize(rng() % (bytes.size() + 1));
+    if (coin(rng) < 0.2) {
+      bytes.insert(rng() % (bytes.size() + 1), 1,
+                   static_cast<char>(byte(rng)));
+    }
+
+    std::stringstream in(bytes);
+    auto read = ReadCommandLog(&in);
+    if (read.ok()) {
+      // Whatever decoded must re-encode to exactly the bytes read.
+      std::stringstream again;
+      ASSERT_TRUE(WriteCommandLog(*read, &again).ok());
+      EXPECT_EQ(again.str(), bytes) << "trial " << trial;
+    } else {
+      EXPECT_EQ(read.status().code(), StatusCode::kInvalidArgument)
+          << "trial " << trial << ": " << read.status();
+    }
+  }
 }
 
 }  // namespace

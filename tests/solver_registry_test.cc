@@ -56,10 +56,11 @@ TEST(SolverRegistryTest, DuplicateRegistrationFails) {
   EXPECT_EQ(dup_alias.code(), StatusCode::kAlreadyExists);
 }
 
-TEST(SolverRegistryTest, EnumNamesStayInSyncWithRegistry) {
-  for (Algo algo : AllAlgos(/*include_ip=*/true)) {
-    EXPECT_TRUE(SolverRegistry::Global().Contains(AlgoName(algo)))
-        << AlgoName(algo);
+TEST(SolverRegistryTest, PaperAlgoNamesResolve) {
+  for (const std::string& name : AllAlgoNames(/*include_ip=*/true)) {
+    auto solver = SolverRegistry::Global().Find(name);
+    ASSERT_TRUE(solver.ok()) << name;
+    EXPECT_EQ((*solver)->Name(), name);
   }
 }
 
