@@ -34,6 +34,15 @@
 //     refactorization at all. The adaptive policy's work counters keep
 //     the eta chain — and with it the ftran/btran cost per pivot —
 //     bounded, where the unmanaged chain grows with the solve length.
+//     The "factor+solve" column sums factorization, ftran and btran time:
+//     a policy that shortens the eta chain by refactorizing more often
+//     pays for it in the factor time.
+//  6. Refactorization policy on one cold solve — the m=2000 compact LP
+//     solved cold under the adaptive policy and under a fixed interval of
+//     256, best of five interleaved runs each. The paired
+//     "(adaptive)" / "(fixed-256)" metrics feed a same-run CI gate
+//     (adaptive <= 1.5x fixed-256) that a refactorization regression
+//     trips on any runner.
 //
 // Objectives are cross-checked between every pair of paths; a mismatch
 // prints loudly (the equivalence tests in lp_test.cc enforce it).
@@ -395,8 +404,9 @@ void PrintDualRowPricing(const ColdRun& parent, const LpModel& lp) {
 /// a solve runs thousands of pivots and an unmanaged eta chain hurts.
 /// Policies compared: adaptive (the default triggers), fixed interval 256
 /// (the PR 2-5 behavior), and unmanaged (interval 2^30: the eta chain only
-/// dies at the start-of-solve factorization). Kernel us/pivot is the
-/// bounded-vs-growing observable.
+/// dies at the start-of-solve factorization). Factor+solve us/pivot is
+/// the bounded-vs-growing observable; it counts the factorizations too,
+/// since they are what a shorter eta chain costs.
 void PrintServingStream(const LpModel& lp) {
   constexpr int kResolves = 2000;
   constexpr int kColdEvery = 250;
@@ -416,7 +426,7 @@ void PrintServingStream(const LpModel& lp) {
       {"unmanaged", RefactorPolicy::kFixedInterval, 1 << 30},
   };
   Table t({"policy", "resolves", "pivots", "refactors", "max eta chain",
-           "kernel (s)", "kernel us/pivot", "total (s)"});
+           "factor+solve (s)", "factor+solve us/pivot", "total (s)"});
   std::vector<double> reference_objectives;
   for (const Policy& policy : policies) {
     SimplexOptions options;
@@ -429,7 +439,7 @@ void PrintServingStream(const LpModel& lp) {
     bool have_basis = false;
     int64_t pivots = 0, refactors = 0, max_eta = 0;
     int resolves = 0, mismatches = 0;
-    double kernel_seconds = 0.0;
+    double factor_solve_seconds = 0.0;
     Timer stream_timer;
     for (int step = 0; step < kResolves; ++step) {
       const int j = bannable[rng.UniformInt(
@@ -452,7 +462,9 @@ void PrintServingStream(const LpModel& lp) {
       pivots += sol->iterations;
       refactors += sol->stats.refactorizations;
       max_eta = std::max(max_eta, sol->stats.eta_count);
-      kernel_seconds += sol->stats.ftran_seconds + sol->stats.btran_seconds;
+      factor_solve_seconds += sol->stats.factor_seconds +
+                              sol->stats.ftran_seconds +
+                              sol->stats.btran_seconds;
       ++resolves;
       if (&policy == &policies[0]) {
         reference_objectives.push_back(sol->objective);
@@ -473,15 +485,15 @@ void PrintServingStream(const LpModel& lp) {
         .Add(pivots)
         .Add(refactors)
         .Add(max_eta)
-        .Add(FormatDouble(kernel_seconds, 3))
+        .Add(FormatDouble(factor_solve_seconds, 3))
         .Add(pivots > 0
-                 ? FormatDouble(1e6 * kernel_seconds / pivots, 2)
+                 ? FormatDouble(1e6 * factor_solve_seconds / pivots, 2)
                  : std::string("-"))
         .Add(FormatDouble(total_seconds, 3));
     const std::string prefix =
         std::string("lp engine | serving stream ");
-    benchutil::RecordMetric(prefix + "kernel seconds - " + policy.label,
-                            kernel_seconds);
+    benchutil::RecordMetric(prefix + "factor+solve seconds - " + policy.label,
+                            factor_solve_seconds);
     benchutil::RecordMetric(prefix + "max eta chain - " + policy.label,
                             static_cast<double>(max_eta));
     benchutil::RecordMetric(prefix + "refactorizations - " + policy.label,
@@ -492,6 +504,64 @@ void PrintServingStream(const LpModel& lp) {
   t.Print("LP engine: eta-file management over a 2000-resolve serving "
           "stream, adaptive vs fixed vs unmanaged refactorization "
           "(m=10000 compact LP, cold resolve every 250)");
+}
+
+/// Section 6: one cold solve under the adaptive refactorization policy
+/// vs a fixed interval of 256. Each arm runs five times, interleaved,
+/// and keeps its fastest run, which filters out the runs a busy machine
+/// slowed; the refactorization cadence is deterministic, so every run of
+/// an arm repeats its pivots.
+void PrintRefactorPolicy(const LpModel& lp, int m) {
+  struct Arm {
+    const char* label;
+    RefactorPolicy policy;
+    LpSolution best;
+    bool ok = false;
+  };
+  Arm arms[] = {{"adaptive", RefactorPolicy::kAdaptive, {}},
+                {"fixed-256", RefactorPolicy::kFixedInterval, {}}};
+  constexpr int kRepeats = 5;
+  for (int rep = 0; rep < kRepeats; ++rep) {
+    for (Arm& arm : arms) {
+      SimplexOptions options;
+      options.refactor_policy = arm.policy;
+      options.refactor_interval = 256;
+      auto sol = SolveLp(lp, options);
+      if (!sol.ok()) {
+        std::cerr << "cold solve (" << arm.label << ") failed at m=" << m
+                  << ": " << sol.status() << "\n";
+        continue;
+      }
+      if (!arm.ok || sol->solve_seconds < arm.best.solve_seconds) {
+        arm.best = std::move(sol).value();
+        arm.ok = true;
+      }
+    }
+  }
+  if (!arms[0].ok || !arms[1].ok) return;
+  if (!ObjectivesMatch(arms[0].best.objective, arms[1].best.objective)) {
+    std::cerr << "OBJECTIVE MISMATCH at m=" << m << ": adaptive "
+              << arms[0].best.objective << " vs fixed-256 "
+              << arms[1].best.objective << "\n";
+  }
+  Table t({"m", "policy", "pivots", "refactors", "factor (s)", "solve (s)",
+           "vs fixed-256"});
+  for (const Arm& arm : arms) {
+    const LpSolution& sol = arm.best;
+    t.NewRow()
+        .Add(static_cast<int64_t>(m))
+        .Add(arm.label)
+        .Add(static_cast<int64_t>(sol.iterations))
+        .Add(sol.stats.refactorizations)
+        .Add(FormatDouble(sol.stats.factor_seconds, 3))
+        .Add(FormatDouble(sol.solve_seconds, 3))
+        .Add(FormatDouble(sol.solve_seconds / arms[1].best.solve_seconds, 2));
+    benchutil::RecordMetric("lp engine | m=" + std::to_string(m) +
+                                " cold solve seconds (" + arm.label + ")",
+                            sol.solve_seconds);
+  }
+  t.Print("LP engine: one cold compact-LP solve, adaptive vs fixed-256 "
+          "refactorization (best of 5, interleaved)");
 }
 
 void PrintTables() {
@@ -511,6 +581,7 @@ void PrintTables() {
     PrintWarmRepair(small->second, lps.at(kSmallM));
     PrintDualRowPricing(small->second, lps.at(kSmallM));
   }
+  if (lps.count(kSmallM) > 0) PrintRefactorPolicy(lps.at(kSmallM), kSmallM);
   if (lps.count(kLargeM) > 0) PrintServingStream(lps.at(kLargeM));
 }
 

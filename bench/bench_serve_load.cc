@@ -439,10 +439,9 @@ struct DurabilityArmResult {
 /// first solve is identical across arms and kept out of the timer, like
 /// the serving phases' warm-up. Snapshots run in-band exactly as the
 /// SessionManager drives them.
-Result<DurabilityArmResult> RunDurabilityArm(const SvgicInstance& inst,
-                                             const CommandLog& log,
-                                             const DurabilityOptions* durability,
-                                             uint64_t seed) {
+Result<DurabilityArmResult> RunDurabilityArm(
+    const SvgicInstance& inst, const CommandLog& log,
+    const DurabilityOptions* durability, uint64_t seed) {
   MetricsRegistry registry;
   SessionOptions session_options;
   session_options.seed = seed;

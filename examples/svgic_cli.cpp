@@ -42,14 +42,14 @@
 
 #include "core/io.h"
 #include "core/local_search.h"
-#include "durability/recovery.h"
-#include "durability/snapshot.h"
-#include "serve/client.h"
 #include "core/objective.h"
 #include "datagen/datasets.h"
+#include "durability/recovery.h"
+#include "durability/snapshot.h"
 #include "metrics/metrics.h"
 #include "online/event_log.h"
 #include "online/session.h"
+#include "serve/client.h"
 #include "shard/shard_solve.h"
 #include "solvers/solver_options.h"
 #include "solvers/solver_registry.h"
@@ -568,7 +568,8 @@ int main(int argc, char** argv) {
   if (std::strcmp(argv[1], "gen") == 0) return Generate(argc, argv);
   if (std::strcmp(argv[1], "run") == 0) return Run(argc, argv);
   if (std::strcmp(argv[1], "eval") == 0) return Eval(argc, argv);
-  if (std::strcmp(argv[1], "genevents") == 0) return GenerateEvents(argc, argv);
+  if (std::strcmp(argv[1], "genevents") == 0)
+    return GenerateEvents(argc, argv);
   if (std::strcmp(argv[1], "serve") == 0) return Serve(argc, argv);
   if (std::strcmp(argv[1], "trace") == 0) return FetchTrace(argc, argv);
   if (std::strcmp(argv[1], "top") == 0) return Top(argc, argv);

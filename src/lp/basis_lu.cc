@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
+#include <functional>
 
 #include "lp/dense_matrix.h"
 #include "util/logging.h"
@@ -21,8 +21,18 @@ constexpr double kThresholdPivoting = 0.1;
 // Sparse LU backend.
 // ---------------------------------------------------------------------------
 
-/// Left-looking (Gilbert-Peierls flavoured) LU of the basis matrix with
-/// threshold partial pivoting and a static ascending-nonzero column order.
+/// Left-looking LU of the basis matrix with threshold partial pivoting
+/// and a static ascending-nonzero column order (a stable counting sort on
+/// column length). Each column's left-looking pass visits only its reach:
+/// the earlier pivots whose rows the column, or an L segment applied to
+/// it, touches (Gilbert & Peierls, "Sparse partial pivoting in time
+/// proportional to arithmetic operations", 1988). A min-heap hands them
+/// out in ascending pivot order, the order a loop over every earlier
+/// pivot would use, so the floating-point updates and the pivots are the
+/// same as that loop's; a DFS topological order would reorder them. A
+/// factorization thus costs O(n + flops) plus the heap's log factor, and
+/// factor_ops() counts the term visits it actually makes.
+///
 /// L is kept as an ordered elimination eta file, U column-wise in pivot
 /// coordinates. Everything — L, U and the product-form eta file — lives in
 /// flat (index, value) arrays with ascending indices per segment, so the
@@ -60,33 +70,56 @@ class LuBasisFactorization : public BasisFactorization {
     u_vals_.clear();
     diag_.assign(n, 0.0);
     work_.assign(n, 0.0);
+    queued_.assign(n, 0);
+    reach_.clear();
 
-    // Static fill-reducing order: sparsest basis columns pivot first.
-    std::vector<int> order(n);
-    std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-      return columns[basis[a]].size() < columns[basis[b]].size();
-    });
+    // Static fill-reducing order: sparsest basis columns pivot first. A
+    // stable counting sort on column length (ties keep basis position
+    // order, exactly as a stable comparison sort would).
+    size_t max_len = 0;
+    for (int pos = 0; pos < n; ++pos) {
+      max_len = std::max(max_len, columns[basis[pos]].size());
+    }
+    len_start_.assign(max_len + 2, 0);
+    for (int pos = 0; pos < n; ++pos) {
+      ++len_start_[columns[basis[pos]].size() + 1];
+    }
+    for (size_t len = 1; len < len_start_.size(); ++len) {
+      len_start_[len] += len_start_[len - 1];
+    }
+    order_.resize(n);
+    for (int pos = 0; pos < n; ++pos) {
+      order_[len_start_[columns[basis[pos]].size()]++] = pos;
+    }
 
-    std::vector<int> touched;
-    touched.reserve(n);
-    std::vector<std::pair<int, double>> lterms, uterms;
     for (int k = 0; k < n; ++k) {
-      const int pos = order[k];
-      touched.clear();
-      for (const auto& [row, value] : columns[basis[pos]]) {
-        if (work_[row] == 0.0 && value != 0.0) touched.push_back(row);
+      const int pos = order_[k];
+      const SparseColumn& column = columns[basis[pos]];
+      touched_.clear();
+      for (const auto& [row, value] : column) {
+        if (work_[row] == 0.0 && value != 0.0) touched_.push_back(row);
         work_[row] += value;
+        QueueReach(row);
       }
-      ops += static_cast<int64_t>(columns[basis[pos]].size());
-      // Left-looking pass: fold in the eliminations of earlier pivots.
-      for (int k2 = 0; k2 < k; ++k2) {
+      ops += static_cast<int64_t>(column.size());
+      // Left-looking pass over the column's reach, in ascending k. An
+      // earlier pivot outside the reach has an untouched 0.0 in work_ and
+      // would be skipped anyway, so the updates, their order and `ops`
+      // equal those of a pass over every k2 < k.
+      while (!reach_.empty()) {
+        std::pop_heap(reach_.begin(), reach_.end(), std::greater<int>());
+        const int k2 = reach_.back();
+        reach_.pop_back();
+        queued_[k2] = 0;
         const double xk = work_[pivot_row_of_k_[k2]];
         if (xk == 0.0) continue;
+        // An L segment holds rows unpivoted at k2, so each pivot it
+        // queues comes later than k2 and the ascending order holds.
         for (int64_t i = l_off_[k2]; i < l_off_[k2 + 1]; ++i) {
           const int row = l_rows_[i];
-          if (work_[row] == 0.0) touched.push_back(row);
+          if (work_[row] == 0.0) touched_.push_back(row);
           work_[row] -= l_vals_[i] * xk;
+          QueueReach(row);
         }
         ops += l_off_[k2 + 1] - l_off_[k2];
       }
@@ -95,16 +128,16 @@ class LuBasisFactorization : public BasisFactorization {
       // (deterministic, and biases toward the natural row order that the
       // mostly-triangular simplex bases preserve).
       double pivot_abs_max = 0.0;
-      for (int row : touched) {
+      for (int row : touched_) {
         if (k_of_row_[row] >= 0) continue;
         pivot_abs_max = std::max(pivot_abs_max, std::abs(work_[row]));
       }
       if (pivot_abs_max < kPivotTolerance) {
-        for (int row : touched) work_[row] = 0.0;
+        for (int row : touched_) work_[row] = 0.0;
         return Status::NumericalError("singular basis in LU factorization");
       }
       int pivot_row = -1;
-      for (int row : touched) {
+      for (int row : touched_) {
         if (k_of_row_[row] >= 0) continue;
         if (std::abs(work_[row]) < kThresholdPivoting * pivot_abs_max) {
           continue;
@@ -116,29 +149,29 @@ class LuBasisFactorization : public BasisFactorization {
       pivot_row_of_k_[k] = pivot_row;
       k_of_row_[pivot_row] = k;
       pos_of_k_[k] = pos;
-      lterms.clear();
-      uterms.clear();
-      for (int row : touched) {
+      lterms_.clear();
+      uterms_.clear();
+      for (int row : touched_) {
         const double value = work_[row];
         work_[row] = 0.0;
         if (value == 0.0 || row == pivot_row) continue;
         const int krow = k_of_row_[row];
         if (krow >= 0 && krow < k) {
-          uterms.emplace_back(krow, value);
+          uterms_.emplace_back(krow, value);
         } else if (krow < 0) {
-          lterms.emplace_back(row, value / pivot);
+          lterms_.emplace_back(row, value / pivot);
         }
       }
-      ops += static_cast<int64_t>(touched.size());
+      ops += static_cast<int64_t>(touched_.size());
       // Sorted segments: the solve kernels then walk strictly ascending
       // indices, which is what makes the flat streams cache-friendly.
-      std::sort(lterms.begin(), lterms.end());
-      std::sort(uterms.begin(), uterms.end());
-      for (const auto& [row, mult] : lterms) {
+      std::sort(lterms_.begin(), lterms_.end());
+      std::sort(uterms_.begin(), uterms_.end());
+      for (const auto& [row, mult] : lterms_) {
         l_rows_.push_back(row);
         l_vals_.push_back(mult);
       }
-      for (const auto& [krow, value] : uterms) {
+      for (const auto& [krow, value] : uterms_) {
         u_ks_.push_back(krow);
         u_vals_.push_back(value);
       }
@@ -286,6 +319,15 @@ class LuBasisFactorization : public BasisFactorization {
   }
 
  private:
+  /// Queues the pivot of `row`, if it has one, for the left-looking pass.
+  void QueueReach(int row) {
+    const int k2 = k_of_row_[row];
+    if (k2 < 0 || queued_[k2]) return;
+    queued_[k2] = 1;
+    reach_.push_back(k2);
+    std::push_heap(reach_.begin(), reach_.end(), std::greater<int>());
+  }
+
   void ClearEtas() {
     eta_pos_.clear();
     eta_pivot_.clear();
@@ -324,6 +366,16 @@ class LuBasisFactorization : public BasisFactorization {
   std::vector<int> eta_rows_;
   std::vector<double> eta_vals_;
   std::vector<double> work_;
+  /// Factorize scratch, kept so a refactorization reuses its capacity:
+  /// the counting-sort buckets and column order, the min-heap of earlier
+  /// pivots still to apply to the current column with their queued
+  /// flags, the column's touched rows and its L/U terms.
+  std::vector<size_t> len_start_;
+  std::vector<int> order_;
+  std::vector<int> reach_;
+  std::vector<char> queued_;
+  std::vector<int> touched_;
+  std::vector<std::pair<int, double>> lterms_, uterms_;
   mutable std::vector<double> scratch_;
   int factorizations_ = 0;
   int64_t factor_ops_ = 0;

@@ -8,9 +8,11 @@
 //
 // plus a product-form Update() applied after every pivot. Two backends:
 //
-//  * LuBasisFactorization — sparse left-looking LU (Gilbert-Peierls style)
+//  * LuBasisFactorization — sparse left-looking LU (Gilbert-Peierls)
 //    with threshold partial pivoting and a static fill-reducing column
-//    order (ascending nonzero count). Pivots append eta terms to a
+//    order (ascending nonzero count). Each column visits only the earlier
+//    pivots it reaches, so Factorize costs time proportional to its
+//    flops rather than O(n^2). Pivots append eta terms to a
 //    product-form eta file. All factors and the eta file are stored as
 //    flat contiguous (index, value) streams with sorted indices, so the
 //    Ftran/Btran kernels are single forward passes over cache-resident
@@ -86,6 +88,9 @@ class BasisFactorization {
 
   /// Work (term visits) of the most recent Factorize() — what one
   /// refactorization costs in the same unit as eta_ops_since_factor().
+  /// The sparse LU's left-looking pass visits only each column's reach,
+  /// so this counter equals the work that factorization did: column
+  /// entries, applied L terms and touched rows.
   virtual int64_t factor_ops() const = 0;
 
   /// Accumulated eta-file work performed by Ftran/Btran calls since the

@@ -75,7 +75,8 @@ Result<PresolvedLp> PresolveLp(const LpModel& model,
   // Column occurrence lists over the canonical rows.
   std::vector<std::vector<std::pair<int, double>>> col_rows(n);
   for (int i = 0; i < m; ++i)
-    for (const LpTerm& t : rows[i].terms) col_rows[t.var].push_back({i, t.coef});
+    for (const LpTerm& t : rows[i].terms)
+      col_rows[t.var].push_back({i, t.coef});
 
   std::vector<uint8_t> col_removed(n, 0);
   pre.fixed_value_.assign(n, 0.0);

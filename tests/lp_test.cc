@@ -1116,6 +1116,104 @@ TEST(DualDevexTest, MatchesMaxViolationObjectiveWithFewerPivots) {
   EXPECT_LE(devex_total, maxviol_total);
 }
 
+// --- Sparse LU reach -------------------------------------------------------
+
+/// A basis whose column t pivots on row perm[t] and whose L segment t
+/// fills row perm[t + 1], pivoted later. Column t also holds row
+/// perm[t - 2], so its left-looking pass reaches pivot t - 2, whose
+/// segment fills perm[t - 1]: pivot t - 1 must then be applied as well,
+/// although the column never touches its row directly. Column lengths
+/// grow with t (stable order = t) and the off-pivot entries stay small,
+/// so the pivots follow perm.
+std::vector<SparseColumn> LateFillBasis(int n, Rng* rng) {
+  std::vector<int> perm(n);
+  for (int i = 0; i < n; ++i) perm[i] = i;
+  rng->Shuffle(&perm);
+  auto small = [&] {
+    return (rng->Bernoulli(0.5) ? 1.0 : -1.0) * rng->Uniform(0.05, 0.3);
+  };
+  std::vector<SparseColumn> cols(n);
+  for (int t = 0; t < n; ++t) {
+    std::vector<char> used(n, 0);
+    auto add = [&](int row, double value) {
+      if (used[row]) return;
+      used[row] = 1;
+      cols[t].emplace_back(row, value);
+    };
+    add(perm[t], (rng->Bernoulli(0.5) ? 1.0 : -1.0) * rng->Uniform(4, 5));
+    add(perm[t + 1 < n ? t + 1 : 0], small());
+    if (t >= 2) add(perm[t - 2], small());
+    const int extras = 3 * t / n;
+    while (static_cast<int>(cols[t].size()) < 3 + extras) {
+      add(static_cast<int>(rng->UniformInt(n)), small());
+    }
+    rng->Shuffle(&cols[t]);
+  }
+  return cols;
+}
+
+TEST(SparseReachTest, LuMatchesDenseOnBasesWithLateFill) {
+  Rng rng(15015);
+  for (int n : {40, 80, 120, 160, 200}) {
+    const std::vector<SparseColumn> cols = LateFillBasis(n, &rng);
+    std::vector<int> basis(n);
+    for (int i = 0; i < n; ++i) basis[i] = i;
+    auto lu = MakeLuFactorization();
+    auto dense = MakeDenseFactorization();
+    ASSERT_TRUE(lu->Factorize(cols, basis).ok()) << "n=" << n;
+    ASSERT_TRUE(dense->Factorize(cols, basis).ok()) << "n=" << n;
+    for (int trial = 0; trial < 6; ++trial) {
+      // Alternate hypersparse and dense right-hand sides.
+      std::vector<double> a(n, 0.0);
+      for (int i = 0; i < n; ++i) {
+        if (trial % 2 == 1 || rng.Bernoulli(0.05)) a[i] = rng.Uniform(-1, 1);
+      }
+      a[static_cast<int>(rng.UniformInt(n))] = 1.0;
+      std::vector<double> w = a, w_ref = a;
+      lu->Ftran(&w);
+      dense->Ftran(&w_ref);
+      std::vector<double> bw(n, 0.0);  // B * w
+      for (int pos = 0; pos < n; ++pos) {
+        EXPECT_NEAR(w[pos], w_ref[pos], 1e-9) << "n=" << n << " pos " << pos;
+        for (const auto& [row, value] : cols[basis[pos]]) {
+          bw[row] += value * w[pos];
+        }
+      }
+      for (int row = 0; row < n; ++row) {
+        EXPECT_NEAR(bw[row], a[row], 1e-9) << "n=" << n << " row " << row;
+      }
+      std::vector<double> y = a, y_ref = a;
+      lu->Btran(&y);
+      dense->Btran(&y_ref);
+      for (int row = 0; row < n; ++row) {
+        EXPECT_NEAR(y[row], y_ref[row], 1e-9) << "n=" << n << " row " << row;
+      }
+      for (int pos = 0; pos < n; ++pos) {  // (B' y)[pos] = a[pos]
+        double bty = 0.0;
+        for (const auto& [row, value] : cols[basis[pos]]) {
+          bty += value * y[row];
+        }
+        EXPECT_NEAR(bty, a[pos], 1e-9) << "n=" << n << " pos " << pos;
+      }
+    }
+  }
+}
+
+TEST(SparseReachTest, SingularBasisStillFails) {
+  Rng rng(15016);
+  const int n = 60;
+  std::vector<SparseColumn> cols = LateFillBasis(n, &rng);
+  std::vector<int> basis(n);
+  for (int i = 0; i < n; ++i) basis[i] = i;
+  basis[n - 1] = n / 2;  // a repeated column: rank n - 1
+  auto lu = MakeLuFactorization();
+  const Status status = lu->Factorize(cols, basis);
+  EXPECT_EQ(status.code(), StatusCode::kNumericalError) << status;
+  // The failed call leaves the factorization reusable.
+  for (int i = 0; i < n; ++i) basis[i] = i;
+  EXPECT_TRUE(lu->Factorize(cols, basis).ok());
+}
+
 // --- Eta kernels and adaptive refactorization ------------------------------
 
 TEST(EtaKernelTest, DenseAndSparseFlavorsAgreeBitwiseOverLongStream) {
